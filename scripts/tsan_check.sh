@@ -12,8 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-${POPS_TSAN_BUILD_DIR:-build-tsan}}"
-TARGETS=(test_executor test_lazy_compile test_jit_concurrency test_trials
-         test_parallel_epochs)
+TARGETS=(test_executor test_lazy_compile test_jit_concurrency test_trials)
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=TSan
 cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"
@@ -22,17 +21,7 @@ cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"
 # second_deadlock_stack improves lock-order reports from the sharded mutexes.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 for t in "${TARGETS[@]}"; do
-  if [[ "$t" == test_parallel_epochs ]]; then
-    # The epoch-invariance tests assert per-seed bit-identical output while
-    # sweeping the executor width internally; run them under each default
-    # width too, so the pool the other fixtures inherit is also exercised.
-    for w in 1 2 8; do
-      echo "== tsan: $t (POPS_THREADS=$w)"
-      POPS_THREADS=$w "$BUILD_DIR/$t"
-    done
-  else
-    echo "== tsan: $t"
-    "$BUILD_DIR/$t"
-  fi
+  echo "== tsan: $t"
+  "$BUILD_DIR/$t"
 done
 echo "tsan_check: no races reported"

@@ -56,19 +56,15 @@ inline std::uint64_t mix64(std::uint64_t z) {
 }
 
 /// Counter-based RNG substream derivation: a pure function of
-/// (master seed, epoch, stream) — no shared generator state — so any
-/// decomposition of an epoch's random work into independently-seeded streams
-/// is reproducible regardless of which thread executes which stream, or in
-/// what order.  This is the keyed-substream contract the batched simulator's
-/// parallel epochs rely on (one stream per (seed, epoch, shard), plus a root
-/// stream per epoch) and the same idea `trial_seed` applies at trial
-/// granularity: determinism comes from keying streams by *logical* position,
-/// never by execution order.
+/// (master seed, epoch, stream) — no shared generator state.  The batched
+/// simulator keys each epoch stage's stream this way (SubstreamSeeder
+/// below), so an epoch's draws depend only on the seed and the epoch index,
+/// the same idea `trial_seed` applies at trial granularity.
 ///
 /// Each key word passes through a full mix64 avalanche round before the next
 /// is folded in (Weyl increments keep distinct (epoch, stream) pairs distinct
 /// even across word boundaries), so related keys — consecutive epochs,
-/// adjacent shards — yield statistically unrelated xoshiro seed expansions.
+/// adjacent streams — yield statistically unrelated xoshiro seed expansions.
 inline std::uint64_t substream_seed(std::uint64_t master, std::uint64_t epoch,
                                     std::uint64_t stream) {
   std::uint64_t z = mix64(master + 0x9e3779b97f4a7c15ULL);
@@ -172,6 +168,22 @@ class Rng {
 
  private:
   std::uint64_t state_[4]{};
+};
+
+/// Hands out the independent substreams of one epoch: stream(i) is the
+/// counter-based stream keyed (master, epoch, i).
+class SubstreamSeeder {
+ public:
+  SubstreamSeeder(std::uint64_t master, std::uint64_t epoch)
+      : master_(master), epoch_(epoch) {}
+
+  Rng stream(std::uint64_t index) const {
+    return Rng(substream_seed(master_, epoch_, index));
+  }
+
+ private:
+  std::uint64_t master_;
+  std::uint64_t epoch_;
 };
 
 /// The random-draw interface a protocol's transition algorithm may consume.

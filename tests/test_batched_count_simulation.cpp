@@ -11,7 +11,12 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "compile/compiler.hpp"
+#include "compile/headline.hpp"
+#include "compile/lazy.hpp"
 #include "harness/trials.hpp"
 #include "proto/epidemic.hpp"
 #include "proto/semilinear.hpp"
@@ -107,6 +112,158 @@ TEST(BatchedCountSimulation, RandomizedRatesRespected) {
   sim.advance_time(4.0);
   EXPECT_GT(sim.count("I"), 10u);
   EXPECT_LT(sim.count("I"), 100000u);
+}
+
+/// A synthetic spread protocol over `k` states: with every state populated
+/// at n = 10⁹, epochs run ~28k interactions over hundreds of occupied
+/// classes and take the shuffle pairing path.  A mix of deterministic,
+/// randomized-with-residual, and null cells exercises every apply_cell
+/// branch.
+FiniteSpec make_spread_spec(std::uint32_t k) {
+  FiniteSpec spec;
+  for (std::uint32_t i = 0; i < k; ++i) spec.state("s" + std::to_string(i));
+  for (std::uint32_t a = 0; a < k; ++a) {
+    for (std::uint32_t b = 0; b < k; ++b) {
+      switch ((a * 7 + b * 3) % 5) {
+        case 0:
+          spec.add(a, b, (a + b + 1) % k, (3 * a + b + 7) % k);
+          break;
+        case 1:
+          spec.add(a, b, (a + 2 * b) % k, b, 0.6);
+          spec.add(a, b, (a + 5) % k, (b + 11) % k, 0.3);  // residual null mass
+          break;
+        default:
+          break;  // null cell
+      }
+    }
+  }
+  spec.validate();
+  return spec;
+}
+
+std::vector<std::uint64_t> run_spread(std::uint64_t n, std::uint64_t steps,
+                                      std::uint64_t seed) {
+  static const FiniteSpec spec = make_spread_spec(600);
+  BatchedCountSimulation sim(spec, seed);
+  for (std::uint32_t i = 0; i < spec.num_states(); ++i) {
+    sim.set_count(i, n / spec.num_states());
+  }
+  sim.steps(steps);
+  return sim.counts();
+}
+
+TEST(BatchedCountSimulation, DistinctSeedsStayDistinct) {
+  // Guard against a substream-derivation bug collapsing seeds: two master
+  // seeds must not replay each other's epochs.
+  const auto a = run_spread(1'000'000'000, 120'000, 0x111);
+  const auto b = run_spread(1'000'000'000, 120'000, 0x222);
+  EXPECT_NE(a, b);
+}
+
+/// Nonzero entries by state id: JIT simulators sharing one table may hold
+/// count vectors of different lengths (each syncs to the states it has seen).
+std::map<std::uint32_t, std::uint64_t> occupied_counts(
+    const std::vector<std::uint64_t>& counts) {
+  std::map<std::uint32_t, std::uint64_t> out;
+  for (std::uint32_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] != 0) out[i] = counts[i];
+  }
+  return out;
+}
+
+std::uint64_t sum_counts(const BatchedCountSimulation& sim) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : sim.counts()) total += c;
+  return total;
+}
+
+TEST(BatchedCountSimulation, ResetReplaysAFreshRunEager) {
+  const auto proto = log_size_tiny();
+  const auto compiled =
+      ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
+  const std::uint32_t init = compiled.initial_states().at(0);
+  const std::uint64_t n = 200'000;
+  BatchedCountSimulation fresh(compiled.spec, 0xF00D);
+  fresh.set_count(init, n);
+  fresh.advance_time(6.0);
+
+  BatchedCountSimulation reused(compiled.spec, 0xBEEF);
+  reused.set_count(init, n);
+  reused.advance_time(3.5);  // a different trajectory, stopped mid-run
+  reused.reset(0xF00D);
+  EXPECT_EQ(reused.population_size(), 0u);
+  EXPECT_EQ(reused.interactions(), 0u);
+  reused.set_count(init, n);
+  reused.advance_time(6.0);
+  EXPECT_EQ(reused.counts(), fresh.counts());
+  EXPECT_EQ(reused.interactions(), fresh.interactions());
+}
+
+TEST(BatchedCountSimulation, ResetReplaysAFreshRunJit) {
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  const std::uint64_t n = 200'000;
+  BatchedCountSimulation reused(lazy, 0xBEEF);
+  Rng dirty_rng(3);
+  lazy.seed_initial(reused, n, dirty_rng);
+  reused.advance_time(3.5);
+
+  BatchedCountSimulation fresh(lazy, 0xF00D);
+  Rng fresh_rng(9);
+  lazy.seed_initial(fresh, n, fresh_rng);
+  fresh.advance_time(6.0);
+
+  reused.reset(0xF00D);
+  Rng replay_rng(9);
+  lazy.seed_initial(reused, n, replay_rng);
+  reused.advance_time(6.0);
+  EXPECT_EQ(occupied_counts(reused.counts()), occupied_counts(fresh.counts()));
+  EXPECT_EQ(reused.interactions(), fresh.interactions());
+}
+
+TEST(BatchedCountSimulation, FailedEpochRefusesStepsUntilReset) {
+  // A JIT pair limit throws mid-epoch, with agents drawn out of the
+  // configuration.  Stepping on would silently lose them; instead every
+  // later step refuses until reset(seed) rebuilds a valid state, after which
+  // the simulator replays a fresh one bit for bit.
+  const auto proto = log_size_tiny();
+  CompileOptions opts;
+  opts.max_pairs = 40;
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap(), opts);
+  const std::uint64_t n = 100'000;
+  const std::uint64_t seed = 5;
+  BatchedCountSimulation sim(lazy, seed);
+  Rng seed_rng(1);
+  lazy.seed_initial(sim, n, seed_rng);
+  EXPECT_THROW(sim.advance_time(5.0), std::invalid_argument);  // "pair explosion"
+  const std::uint64_t stuck = sim.interactions();
+  ASSERT_GT(stuck, 0u);
+  for (const std::uint64_t k : {0ull, 1ull, 1000ull}) {
+    try {
+      sim.steps(k);
+      ADD_FAILURE() << "steps(" << k << ") ran after a failed epoch";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("reset(seed)"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(sim.interactions(), stuck);
+
+  sim.reset(seed);
+  EXPECT_EQ(sim.population_size(), 0u);
+  EXPECT_EQ(sum_counts(sim), 0u);
+  Rng replay_rng(1);
+  lazy.seed_initial(sim, n, replay_rng);
+  EXPECT_EQ(sum_counts(sim), n);
+  // Replaying every epoch that completed before the failure needs no new
+  // pair, and reaches the states whose scratch the failed epoch left dirty.
+  sim.steps(stuck);
+  EXPECT_EQ(sum_counts(sim), sim.population_size());
+
+  BatchedCountSimulation fresh(lazy, seed);
+  Rng fresh_rng(1);
+  lazy.seed_initial(fresh, n, fresh_rng);
+  fresh.steps(stuck);
+  EXPECT_EQ(occupied_counts(sim.counts()), occupied_counts(fresh.counts()));
 }
 
 // ------------------------------------------------------------------------
