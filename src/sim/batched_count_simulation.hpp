@@ -14,15 +14,25 @@
 //   1. Sample L = index of the first interaction that reuses an agent
 //      ("collision"), via inversion of the birthday survival function
 //      P(L > t) = (n)_{2t} / (n(n-1))^t  (binary search, O(log n) evals).
-//   2. The 2(L−1) agents of the collision-free prefix are a uniform sample
-//      without replacement from the configuration: draw their *joint* state
-//      multiset with one multivariate hypergeometric pass, split it into
-//      receiver/sender multisets (the receivers are a uniform t-subset of
-//      the 2t agents, so the receiver class counts are again multivariate
-//      hypergeometric — one fused draw replaces the former two full-
-//      configuration draws), pair them by a uniform bipartite matching, and
-//      apply every transition by count arithmetic (randomized transitions
-//      split by binomial draws).
+//   2. The 2t = 2(L−1) agents of the collision-free prefix are a uniform
+//      sample without replacement from the configuration, paired by a
+//      uniform matching; every transition is then applied by count
+//      arithmetic (randomized transitions split by binomial draws).  Three
+//      exact samplers draw and pair them, chosen per epoch:
+//        * agent — when the epoch is short against its occupied classes
+//          (2t ≤ kAgentDrawFactor · occupancy): draw 2t distinct agent
+//          positions one by one and pair draw a with draw t + a.  O(t),
+//          independent of occupancy.
+//        * otherwise the *joint* state multiset of the 2t agents is one
+//          multivariate hypergeometric pass over the occupied classes,
+//          split into receiver/sender multisets (the receivers are a
+//          uniform t-subset of the 2t agents, so the receiver class counts
+//          are again multivariate hypergeometric), and paired by either
+//            - dense — a contingency table, one hypergeometric per cell,
+//              when the occupied grid is tiny against t; or
+//            - shuffle — a uniformly shuffled sender multiset.
+//      The choice depends only on t and the configuration, so it is itself
+//      a function of the seed.
 //   3. Resolve the single colliding interaction exactly: the repeated agent
 //      is uniform among the 2(L−1) touched agents (whose post-batch states
 //      are known as a multiset), its partner uniform among touched/untouched
@@ -54,21 +64,35 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/dispatch.hpp"
 #include "sim/finite_spec.hpp"
+#include "sim/int128.hpp"
 #include "sim/require.hpp"
 #include "sim/rng.hpp"
 #include "sim/shared_dispatch.hpp"
 #include "stats/discrete.hpp"
 
 namespace pops {
+
+/// Per-run epoch counters of a BatchedCountSimulation, zeroed by `reset`.
+/// Every epoch takes exactly one batch sampler, so the three `*_epochs`
+/// counters sum to `epochs`; an epoch is counted when its batch starts.
+struct EpochStats {
+  std::uint64_t epochs = 0;
+  std::uint64_t interactions = 0;
+  std::uint64_t dense_epochs = 0;    ///< joint draw + contingency-table pairing
+  std::uint64_t shuffle_epochs = 0;  ///< joint draw + sender shuffle
+  std::uint64_t agent_epochs = 0;    ///< agent-by-agent draw
+};
 
 class BatchedCountSimulation {
  public:
@@ -125,7 +149,7 @@ class BatchedCountSimulation {
     }
     occupied_.clear();
     total_ = 0;
-    interactions_ = 0;
+    stats_ = {};
   }
 
   /// Set the initial count of a state (before stepping).
@@ -149,11 +173,12 @@ class BatchedCountSimulation {
     return state < counts_.size() ? counts_[state] : 0;
   }
   std::uint64_t population_size() const { return total_; }
-  std::uint64_t interactions() const { return interactions_; }
+  std::uint64_t interactions() const { return stats_.interactions; }
+  const EpochStats& stats() const { return stats_; }
   const FiniteSpec& spec() const { return *spec_; }
 
   double time() const {
-    return static_cast<double>(interactions_) / static_cast<double>(total_);
+    return static_cast<double>(stats_.interactions) / static_cast<double>(total_);
   }
 
   /// One interaction (an epoch truncated to length 1 — still exact).
@@ -200,10 +225,11 @@ class BatchedCountSimulation {
   // gaps are where the sharded epochs of earlier versions drew; keeping the
   // indices keeps every recorded trajectory bit-identical.
   //   0   — root: collision search, dense pairing, collision resolution
-  //   1   — joint draw
-  //   256 — shuffle pairing (fill + shuffle + transition binomials)
+  //   1   — batch draw: the joint draw and split, or the agent positions
+  //   256 — grouped pairing: the shuffle, and the transition binomials of
+  //         the shuffle and agent paths
   static constexpr std::uint64_t kStreamRoot = 0;
-  static constexpr std::uint64_t kStreamJoint = 1;
+  static constexpr std::uint64_t kStreamDraw = 1;
   static constexpr std::uint64_t kStreamPairing = 256;
 
   // ------------------------------------------------------------ epochs ----
@@ -291,33 +317,53 @@ class BatchedCountSimulation {
   /// 2t touched agents) for collision resolution; otherwise it is merged.
   void run_batch(std::uint64_t t, bool keep_split, const SubstreamSeeder& seeder,
                  Rng& root) {
-    Rng joint_rng = seeder.stream(kStreamJoint);
-    draw_joint(t, joint_rng);
-    // Pair receivers with senders: a uniform bipartite matching.  Two
-    // equivalent samplers with opposite cost profiles:
-    //   * dense — a sequentially-sampled contingency table, one
-    //     hypergeometric per (receiver class, sender class): O(occ_r · occ_s)
-    //     draws.  Wins when the batch is huge relative to the occupied grid
-    //     (early dynamics, n ≳ 10^11).
-    //   * shuffle — expand the sender multiset into t slots, shuffle, and
-    //     let receiver classes consume slots in order: a uniform permutation
-    //     of the sender multiset against receiver slots is exactly a uniform
-    //     matching.  O(t) with tiny constants; wins when the occupied grid
-    //     is not tiny relative to the batch — a slot write costs ~1/8 of a
-    //     rejection draw, so the dense scan only wins when occ_r · occ_s ≪ t
-    //     (few huge classes at n ≳ 10¹¹).
-    // The shuffle buffer is capped so sub-√n epochs never allocate
-    // unboundedly at n = 10¹²⁺; past the cap the dense scan takes over.
-    std::uint64_t occ_r = 0, occ_s = 0;
-    for (const std::uint32_t j : joint_ids_) {
-      occ_r += recv_[j] != 0 ? 1 : 0;
-      occ_s += send_[j] != 0 ? 1 : 0;
-    }
-    if (occ_r * occ_s * 8 < t || t > kMaxShuffleSlots) {
-      pair_dense(t, root);
-    } else {
+    compact_occupied();
+    ++stats_.epochs;
+    Rng draw_rng = seeder.stream(kStreamDraw);
+    // Draw the 2t agents and pair receivers with senders by a uniform
+    // matching.  Three equivalent samplers with different cost profiles:
+    //   * agent — draw the agents one by one as distinct positions: O(t),
+    //     whatever the occupancy.  The joint draw below costs one
+    //     hypergeometric per occupied class, so for an epoch short against
+    //     its occupied classes (nearly every epoch of a faithful-cap JIT
+    //     run at n = 5·10³) drawing agents wins; past the crossover its
+    //     per-draw hashing and class search lose to the shuffle's slot
+    //     writes.
+    //   * dense — after the joint draw, a sequentially-sampled contingency
+    //     table, one hypergeometric per (receiver class, sender class):
+    //     O(occ_r · occ_s) draws.  Wins when the batch is huge relative to
+    //     the occupied grid (early dynamics, n ≳ 10^11).
+    //   * shuffle — after the joint draw, expand the sender multiset into t
+    //     slots, shuffle, and let receiver classes consume slots in order:
+    //     a uniform permutation of the sender multiset against receiver
+    //     slots is exactly a uniform matching.  O(t) with tiny constants;
+    //     wins when the occupied grid is not tiny relative to the batch — a
+    //     slot write costs ~1/8 of a rejection draw, so the dense scan only
+    //     wins when occ_r · occ_s ≪ t (few huge classes at n ≳ 10¹¹).
+    // The agent and shuffle buffers are capped so sub-√n epochs never
+    // allocate unboundedly at n = 10¹²⁺; past the cap the dense scan takes
+    // over.
+    if (2 * t <= kAgentDrawFactor * occupied_.size() && t <= kMaxShuffleSlots &&
+        total_ <= kMaxAgentPosition) {
+      ++stats_.agent_epochs;
+      draw_agents(t, draw_rng);
       Rng pairing_rng = seeder.stream(kStreamPairing);
-      pair_shuffle(t, pairing_rng);
+      apply_grouped_cells(pairing_rng);
+    } else {
+      draw_joint(t, draw_rng);
+      std::uint64_t occ_r = 0, occ_s = 0;
+      for (const std::uint32_t j : joint_ids_) {
+        occ_r += recv_[j] != 0 ? 1 : 0;
+        occ_s += send_[j] != 0 ? 1 : 0;
+      }
+      if (occ_r * occ_s * 8 < t || t > kMaxShuffleSlots) {
+        ++stats_.dense_epochs;
+        pair_dense(t, root);
+      } else {
+        ++stats_.shuffle_epochs;
+        Rng pairing_rng = seeder.stream(kStreamPairing);
+        pair_shuffle(t, pairing_rng);
+      }
     }
     for (const std::uint32_t j : joint_ids_) {
       joint_[j] = 0;
@@ -325,8 +371,101 @@ class BatchedCountSimulation {
       send_[j] = 0;
     }
     joint_ids_.clear();
-    interactions_ += t;
+    stats_.interactions += t;
     if (!keep_split) merge_touched();
+  }
+
+  /// The agent-by-agent batch draw.  The 2t batch agents are uniform
+  /// positions in [0, n) over the prefix sums of the pre-epoch occupied
+  /// counts, each repeated position redrawn — exactly a uniform sequence of
+  /// 2t distinct agents, hence already a uniform matching: receiver a
+  /// (draw a < t) meets sender t + a, with no split and no shuffle.  The
+  /// senders are then grouped by receiver class into `sender_slots_`, the
+  /// layout `apply_grouped_cells` consumes.
+  void draw_agents(std::uint64_t t, Rng& rng) {
+    build_position_guide();
+    begin_position_epoch(t);
+    if (draw_class_.size() < 2 * t) draw_class_.resize(2 * t);
+    for (std::uint64_t a = 0; a < 2 * t; ++a) {
+      std::uint64_t position, word;
+      do {
+        std::tie(position, word) = rng.below_with_word(total_);
+      } while (!claim_position(position));
+      std::uint32_t k = position_guide_[word >> guide_shift_];
+      while (agent_prefix_[k] <= position) ++k;
+      const std::uint32_t cls = occupied_[k];
+      --counts_[cls];
+      draw_class_[a] = cls;
+    }
+    // Counting sort of the senders by receiver class; send_ serves as each
+    // receiver class's write cursor (cleared with joint_ids_).
+    for (std::uint64_t a = 0; a < t; ++a) {
+      if (recv_[draw_class_[a]]++ == 0) joint_ids_.push_back(draw_class_[a]);
+    }
+    std::uint64_t offset = 0;
+    for (const std::uint32_t i : joint_ids_) {
+      send_[i] = offset;
+      offset += recv_[i];
+    }
+    if (sender_slots_.size() < t) sender_slots_.resize(t);
+    for (std::uint64_t a = 0; a < t; ++a) {
+      sender_slots_[send_[draw_class_[a]]++] = draw_class_[t + a];
+    }
+  }
+
+  /// Prefix sums of the occupied counts (`agent_prefix_`, indexed like
+  /// `occupied_`) and a power-of-two guide table over [0, n): bucket g holds
+  /// the occupied index whose class contains position floor(g·n / G).  A
+  /// draw whose word has top bits g is at least that position, so the class
+  /// search starts there and scans O(1 + occupancy / G) entries.
+  void build_position_guide() {
+    const std::size_t m = occupied_.size();
+    agent_prefix_.resize(m);
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+      acc += counts_[occupied_[k]];
+      agent_prefix_[k] = acc;
+    }
+    const int bits = std::bit_width(std::max<std::size_t>(m, 2) - 1);  // G >= max(m, 2)
+    guide_shift_ = 64 - bits;
+    position_guide_.resize(std::size_t{1} << bits);
+    std::uint32_t k = 0;
+    for (std::size_t g = 0; g < position_guide_.size(); ++g) {
+      const auto first = static_cast<std::uint64_t>((static_cast<u128>(g) * total_) >> bits);
+      while (agent_prefix_[k] <= first) ++k;
+      position_guide_[g] = k;
+    }
+  }
+
+  /// Start a new epoch of the drawn-position set: an open-addressed table
+  /// of words (position << kStampBits | stamp), live only while the stamp
+  /// matches the epoch's.  Advancing the stamp empties the set with no
+  /// clearing pass; only when the stamp wraps is the table zeroed.
+  void begin_position_epoch(std::uint64_t t) {
+    const std::size_t want = std::bit_ceil(std::max<std::size_t>(4 * t, 16));  // load <= 1/2
+    if (position_set_.size() < want) {
+      position_set_.assign(want, 0);
+      position_shift_ = 64 - std::bit_width(want - 1);
+    }
+    if (++position_stamp_ > kStampMask) {
+      std::fill(position_set_.begin(), position_set_.end(), 0);
+      position_stamp_ = 1;
+    }
+  }
+
+  /// Add `position` to this epoch's drawn set; false if it was drawn already.
+  bool claim_position(std::uint64_t position) {
+    const std::uint64_t key = (position << kStampBits) | position_stamp_;
+    const std::size_t mask = position_set_.size() - 1;
+    for (std::size_t h = (position * 0x9e3779b97f4a7c15ULL) >> position_shift_;;
+         h = (h + 1) & mask) {
+      const std::uint64_t slot = position_set_[h];
+      if ((slot & kStampMask) != position_stamp_) {
+        position_set_[h] = key;
+        return true;
+      }
+      if (slot == key) return false;
+    }
   }
 
   /// The fused batch draw.  Drawing t receivers then t senders without
@@ -340,7 +479,6 @@ class BatchedCountSimulation {
   /// list persists across epochs — only compaction of classes that emptied
   /// touches it.
   void draw_joint(std::uint64_t t, Rng& rng) {
-    compact_occupied();
     joint_ids_.clear();
     std::uint64_t remaining_total = total_;
     std::uint64_t remaining = 2 * t;
@@ -411,8 +549,7 @@ class BatchedCountSimulation {
 
   /// Shuffle pairing: expand the sender multiset into t slots, Fisher–Yates
   /// shuffle them, and let receiver classes consume slots in joint-draw
-  /// order.  Per-cell counts accumulate first, so a randomized cell splits
-  /// its whole multiplicity by binomials rather than one draw per slot.
+  /// order.
   void pair_shuffle(std::uint64_t t, Rng& rng) {
     if (sender_slots_.size() < t) sender_slots_.resize(t);
     std::uint64_t w = 0;
@@ -422,6 +559,14 @@ class BatchedCountSimulation {
     for (std::uint64_t k = t - 1; k > 0; --k) {
       std::swap(sender_slots_[k], sender_slots_[rng.below(k + 1)]);
     }
+    apply_grouped_cells(rng);
+  }
+
+  /// Apply a grouped pairing: receiver class joint_ids_[0] meets the first
+  /// recv_ senders in `sender_slots_`, the next class the ones after, and so
+  /// on.  Per-cell counts accumulate first, so a randomized cell splits its
+  /// whole multiplicity by binomials rather than one draw per slot.
+  void apply_grouped_cells(Rng& rng) {
     std::uint64_t pos = 0;
     for (const std::uint32_t i : joint_ids_) {
       std::uint64_t need = recv_[i];
@@ -546,7 +691,7 @@ class BatchedCountSimulation {
     const auto [out_r, out_s] = resolve_transition(r_state, s_state, rng);
     touch(out_r, 1);
     touch(out_s, 1);
-    ++interactions_;
+    ++stats_.interactions;
     merge_touched();
   }
 
@@ -641,6 +786,25 @@ class BatchedCountSimulation {
   /// pairing rather than materializing an O(√n) slot buffer at n = 10¹²⁺.
   static constexpr std::uint64_t kMaxShuffleSlots = std::uint64_t{1} << 22;
 
+  /// Agent-draw crossover: an epoch of t interactions draws its agents one
+  /// by one when 2t <= kAgentDrawFactor · occupancy.  Calibrated by giving
+  /// each epoch a coin-flip sampler and timing whole batches (rdtsc, gcc 12
+  /// -O2, 4-core x86-64), binned by 2t / occupancy.  Agent-path cost over
+  /// joint-path cost per bin [4, 5.7), [5.7, 8), [8, 11.3), [11.3, 16):
+  ///   log_size_small, eager, n = 10⁷:  0.68  0.80  0.96  1.13
+  ///   log_size_tiny,  eager, n = 10⁵:  0.68  0.83  0.96  1.39
+  /// and 0.5–0.8 everywhere on the faithful-cap JIT run at n = 5·10³, where
+  /// 2t / occupancy stays below 5.  The crossover sits near 10.
+  static constexpr std::uint64_t kAgentDrawFactor = 8;
+
+  /// Drawn-position words pack a 48-bit position above a 16-bit epoch
+  /// stamp (stamp 0 = never written).  Above 2⁴⁸ agents the epochs are
+  /// ~10⁷ interactions long and the agent path would need millions of
+  /// occupied classes, so those runs always take the joint draw.
+  static constexpr int kStampBits = 16;
+  static constexpr std::uint64_t kStampMask = (std::uint64_t{1} << kStampBits) - 1;
+  static constexpr std::uint64_t kMaxAgentPosition = std::uint64_t{1} << (64 - kStampBits);
+
   FiniteSpec spec_storage_;      ///< owned in eager mode; empty in lazy mode
   const FiniteSpec* spec_;
   std::uint64_t master_seed_;    ///< every epoch substream derives from this
@@ -651,13 +815,20 @@ class BatchedCountSimulation {
   JitCompiler* jit_ = nullptr;
   std::vector<std::uint64_t> counts_;  ///< configuration vector
   std::uint64_t total_ = 0;
-  std::uint64_t interactions_ = 0;
   // Per-epoch scratch, sparse in the occupied classes (hot path allocates
   // nothing and never walks the full state range).
   std::vector<std::uint64_t> touched_, recv_, send_, joint_, cell_accum_;
   std::vector<std::uint8_t> in_occupied_;
   std::vector<std::uint32_t> occupied_, joint_ids_, touched_ids_, cell_touched_;
   std::vector<std::uint32_t> sender_slots_;
+  // Agent-path scratch (draw_agents): pre-epoch prefix sums and their guide
+  // table, the drawn-position set, and each draw's class.
+  std::vector<std::uint64_t> agent_prefix_, position_set_;
+  std::vector<std::uint32_t> position_guide_, draw_class_;
+  int guide_shift_ = 63;
+  int position_shift_ = 60;
+  std::uint64_t position_stamp_ = 0;
+  EpochStats stats_;
   bool epoch_failed_ = false;  ///< an epoch threw; steps refuse until reset
 };
 

@@ -105,7 +105,12 @@ class Rng {
   std::uint64_t operator()() { return next(); }
 
   /// Unbiased uniform draw in [0, n).  Lemire's multiply-shift with rejection.
-  std::uint64_t below(std::uint64_t n) {
+  std::uint64_t below(std::uint64_t n) { return below_with_word(n).first; }
+
+  /// `below(n)` plus the accepted 64-bit word x it was scaled from.  The
+  /// draw is floor(x·n / 2⁶⁴), monotone in x, so the top bits of x locate
+  /// the draw in a power-of-two partition of [0, n) without a division.
+  std::pair<std::uint64_t, std::uint64_t> below_with_word(std::uint64_t n) {
     POPS_REQUIRE(n > 0, "below(n) needs n >= 1");
     std::uint64_t x = next();
     u128 m = static_cast<u128>(x) * n;
@@ -118,7 +123,7 @@ class Rng {
         lo = static_cast<std::uint64_t>(m);
       }
     }
-    return static_cast<std::uint64_t>(m >> 64);
+    return {static_cast<std::uint64_t>(m >> 64), x};
   }
 
   /// One fair coin flip; true with probability exactly 1/2.

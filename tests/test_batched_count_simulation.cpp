@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "compile/compiler.hpp"
@@ -152,6 +153,76 @@ std::vector<std::uint64_t> run_spread(std::uint64_t n, std::uint64_t steps,
   return sim.counts();
 }
 
+TEST(BatchedCountSimulation, LongEpochsBypassTheAgentDraw) {
+  // n = 10⁹ over 600 classes: epochs run ~28k interactions, far past the
+  // agent-draw crossover, so every epoch takes the joint draw.
+  static const FiniteSpec spec = make_spread_spec(600);
+  BatchedCountSimulation sim(spec, 0x111);
+  for (std::uint32_t i = 0; i < spec.num_states(); ++i) {
+    sim.set_count(i, 1'000'000'000 / spec.num_states());
+  }
+  sim.steps(120'000);
+  const EpochStats& stats = sim.stats();
+  EXPECT_GT(stats.epochs, 0u);
+  EXPECT_EQ(stats.agent_epochs, 0u);
+  EXPECT_EQ(stats.dense_epochs + stats.shuffle_epochs, stats.epochs);
+}
+
+TEST(BatchedCountSimulation, StatsCountEpochsAndResetZeroesThem) {
+  BatchedCountSimulation sim(make_spread_spec(64), 3);
+  for (std::uint32_t i = 0; i < 64; ++i) sim.set_count(i, 30);
+  sim.steps(5000);
+  const EpochStats stats = sim.stats();
+  EXPECT_EQ(stats.interactions, 5000u);
+  EXPECT_GT(stats.agent_epochs, 0u);
+  EXPECT_EQ(stats.agent_epochs + stats.dense_epochs + stats.shuffle_epochs, stats.epochs);
+  sim.reset(3);
+  EXPECT_EQ(sim.stats().epochs, 0u);
+  EXPECT_EQ(sim.stats().interactions, 0u);
+  EXPECT_EQ(sim.stats().agent_epochs, 0u);
+}
+
+TEST(BatchedCountSimulation, PositionStampWrapForgetsOlderEpochs) {
+  // The agent draw's position set marks entries live by a 16-bit epoch
+  // stamp and is zeroed when the stamp wraps.  Replay some epochs once
+  // their stamps come round again: if the wrap kept their old entries, the
+  // replay's first positions would read as already drawn, get redrawn, and
+  // the replay would diverge.
+  const FiniteSpec spec = make_spread_spec(64);
+  BatchedCountSimulation sim(spec, 1);
+  auto populate = [&](std::uint32_t states, std::uint64_t per_state) {
+    for (std::uint32_t i = 0; i < states; ++i) sim.set_count(i, per_state);
+  };
+  auto single_steps = [&](std::uint64_t k) {
+    std::vector<std::vector<std::uint64_t>> trail;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      sim.steps(1);
+      trail.push_back(sim.counts());
+    }
+    return trail;
+  };
+  // ~50-interaction agent epochs grow the set to hundreds of slots, so the
+  // replayed epochs' entries are not overwritten by the 12-agent epochs.
+  populate(64, 100);
+  sim.steps(20'000);
+  ASSERT_EQ(sim.stats().agent_epochs, sim.stats().epochs);
+  const std::uint64_t stamps_before = sim.stats().epochs;
+  ASSERT_LT(stamps_before + 50, 65535u);
+
+  const std::uint64_t kReplayed = 50;
+  sim.reset(7);
+  populate(64, 100);
+  const auto first = single_steps(kReplayed);
+  // Spend the remaining stamps of the cycle on 12 agents (positions 0..11).
+  sim.reset(8);
+  populate(6, 2);
+  for (std::uint64_t i = 0; i < 65535 - kReplayed; ++i) sim.steps(1);
+  ASSERT_EQ(sim.stats().agent_epochs, 65535 - kReplayed);
+  sim.reset(7);
+  populate(64, 100);
+  EXPECT_EQ(single_steps(kReplayed), first);
+}
+
 TEST(BatchedCountSimulation, DistinctSeedsStayDistinct) {
   // Guard against a substream-derivation bug collapsing seeds: two master
   // seeds must not replay each other's epochs.
@@ -266,6 +337,40 @@ TEST(BatchedCountSimulation, FailedEpochRefusesStepsUntilReset) {
   EXPECT_EQ(occupied_counts(sim.counts()), occupied_counts(fresh.counts()));
 }
 
+TEST(BatchedCountSimulation, FailedAgentEpochRefusesStepsUntilReset) {
+  // As above, but at n = 100 every epoch of this seed is short against its
+  // occupied classes, so the pair-limit throw lands inside an agent-drawn
+  // epoch — after its agents left the configuration, while its cells apply.
+  const auto proto = log_size_tiny();
+  CompileOptions opts;
+  opts.max_pairs = 40;
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap(), opts);
+  const std::uint64_t n = 100;
+  const std::uint64_t seed = 5;
+  BatchedCountSimulation sim(lazy, seed);
+  Rng seed_rng(2);
+  lazy.seed_initial(sim, n, seed_rng);
+  EXPECT_THROW(sim.advance_time(50.0), std::invalid_argument);  // "pair explosion"
+  ASSERT_GT(sim.stats().agent_epochs, 0u);
+  ASSERT_EQ(sim.stats().agent_epochs, sim.stats().epochs) << "an epoch took the joint draw";
+  const std::uint64_t stuck = sim.interactions();
+  EXPECT_THROW(sim.steps(1), std::invalid_argument);
+  EXPECT_EQ(sim.interactions(), stuck);
+
+  sim.reset(seed);
+  Rng replay_rng(2);
+  lazy.seed_initial(sim, n, replay_rng);
+  sim.steps(stuck);
+  EXPECT_EQ(sum_counts(sim), n);
+
+  BatchedCountSimulation fresh(lazy, seed);
+  Rng fresh_rng(2);
+  lazy.seed_initial(fresh, n, fresh_rng);
+  fresh.steps(stuck);
+  EXPECT_EQ(occupied_counts(sim.counts()), occupied_counts(fresh.counts()));
+  EXPECT_EQ(sim.stats().epochs, fresh.stats().epochs);
+}
+
 // ------------------------------------------------------------------------
 // Distributional equivalence: batched and sequential simulators must induce
 // statistically indistinguishable configuration distributions.
@@ -338,6 +443,72 @@ TEST(BatchedEquivalence, TinyPopulationDistribution) {
       spec, init, "I", 1.5, 6000, 0x1111);
   const auto batched = final_count_histogram<BatchedCountSimulation>(
       spec, init, "I", 1.5, 6000, 0x2222);
+  const auto verdict = two_sample_chi_square(sequential, batched);
+  EXPECT_TRUE(verdict.accept())
+      << "chi-square " << verdict.statistic << " at df " << verdict.df
+      << " (critical " << chi_square_critical(verdict.df) << ")";
+}
+
+/// Histogram of state `observable`'s final count over `trials` runs from
+/// `init` (indexed by state id).  For the batched simulator, `stats` sums
+/// the runs' epoch counters.
+template <typename Sim>
+std::map<std::uint64_t, std::uint64_t> spread_histogram(
+    const FiniteSpec& spec, const std::vector<std::uint64_t>& init, std::uint32_t observable,
+    double parallel_time, std::uint64_t trials, std::uint64_t master_seed,
+    EpochStats* stats = nullptr) {
+  std::map<std::uint64_t, std::uint64_t> histogram;
+  for (std::uint64_t i = 0; i < trials; ++i) {
+    Sim sim(spec, trial_seed(master_seed, i));
+    for (std::uint32_t s = 0; s < init.size(); ++s) sim.set_count(s, init[s]);
+    sim.advance_time(parallel_time);
+    if constexpr (std::is_same_v<Sim, BatchedCountSimulation>) {
+      stats->epochs += sim.stats().epochs;
+      stats->agent_epochs += sim.stats().agent_epochs;
+    }
+    ++histogram[sim.count(observable)];
+  }
+  return histogram;
+}
+
+TEST(BatchedEquivalence, AgentDrawManyStatesDistribution) {
+  // 64 states at n = 2000: epochs of ~28 interactions against 35–64
+  // occupied classes, so every epoch draws its agents one by one.  The
+  // spread spec's null, deterministic and randomized-with-residual cells
+  // all apply, and every epoch but a truncated last one ends in a
+  // collision.  A skewed start keeps the observable in its transient.
+  const FiniteSpec spec = make_spread_spec(64);
+  std::vector<std::uint64_t> init(64, 0);
+  init[0] = 1000;
+  init[1] = 500;
+  for (std::uint32_t i = 2; i < 34; ++i) init[i] = 15;
+  init[34] = 20;
+  EpochStats stats;
+  const auto sequential =
+      spread_histogram<CountSimulation>(spec, init, 0, 1.0, 3000, 0x5EED1);
+  const auto batched =
+      spread_histogram<BatchedCountSimulation>(spec, init, 0, 1.0, 3000, 0x5EED2, &stats);
+  EXPECT_GT(stats.agent_epochs, 0u);
+  EXPECT_EQ(stats.agent_epochs, stats.epochs);
+  const auto verdict = two_sample_chi_square(sequential, batched);
+  EXPECT_TRUE(verdict.accept())
+      << "chi-square " << verdict.statistic << " at df " << verdict.df
+      << " (critical " << chi_square_critical(verdict.df) << ")";
+}
+
+TEST(BatchedEquivalence, AgentDrawTinyPopulationDistribution) {
+  // n = 12 over 6 states: a batch of t interactions draws 2t of the 12
+  // agents, so repeated positions are redrawn often, and collisions end
+  // nearly every epoch.
+  const FiniteSpec spec = make_spread_spec(6);
+  const std::vector<std::uint64_t> init(6, 2);
+  EpochStats stats;
+  const auto sequential =
+      spread_histogram<CountSimulation>(spec, init, 0, 2.0, 6000, 0x7117);
+  const auto batched =
+      spread_histogram<BatchedCountSimulation>(spec, init, 0, 2.0, 6000, 0x7118, &stats);
+  EXPECT_GT(stats.agent_epochs, 0u);
+  EXPECT_EQ(stats.agent_epochs, stats.epochs);
   const auto verdict = two_sample_chi_square(sequential, batched);
   EXPECT_TRUE(verdict.accept())
       << "chi-square " << verdict.statistic << " at df " << verdict.df
