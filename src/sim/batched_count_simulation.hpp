@@ -96,10 +96,12 @@ struct EpochStats {
 
 class BatchedCountSimulation {
  public:
+  /// Eager mode: the spec is compiled to a `DispatchTable` up front.  The
+  /// table build validates the spec, so a malformed one throws
+  /// std::invalid_argument here and no simulator exists.
   BatchedCountSimulation(FiniteSpec spec, std::uint64_t seed,
                          DispatchTable::RowLayout layout = DispatchTable::RowLayout::kAuto)
       : spec_storage_(std::move(spec)), spec_(&spec_storage_), master_seed_(seed) {
-    spec_storage_.validate();
     table_storage_ = DispatchTable(spec_storage_, layout);
     dispatch_ = &table_storage_;
     init_scratch(dispatch_->num_states());

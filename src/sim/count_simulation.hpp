@@ -38,13 +38,15 @@ namespace pops {
 
 class CountSimulation {
  public:
+  /// Eager mode: the spec is compiled to a `DispatchTable` up front.  The
+  /// table build validates the spec, so a malformed one throws
+  /// std::invalid_argument here and no simulator exists.
   CountSimulation(FiniteSpec spec, std::uint64_t seed,
                   DispatchTable::RowLayout layout = DispatchTable::RowLayout::kAuto)
       : spec_storage_(std::move(spec)),
         spec_(&spec_storage_),
         rng_(seed),
         sampler_(spec_storage_.num_states()) {
-    spec_storage_.validate();
     table_storage_ = DispatchTable(spec_storage_, layout);
     dispatch_ = &table_storage_;
   }

@@ -28,6 +28,9 @@
 //
 // This table is the eager build: single-threaded construction from a
 // complete spec, then read-only (safe to share across simulator threads).
+// The build validates the spec — it groups the transitions with
+// `FiniteSpec::validate()`, which checks every id, rate and per-pair total
+// in the same pass — so a table only ever exists for a well-formed spec.
 // The lazy/JIT compilation path registers cells one at a time into the
 // thread-safe `ConcurrentDispatchTable` (sim/shared_dispatch.hpp), which
 // shares this table's Entry/Cell types so the simulators' dispatch code is
@@ -72,23 +75,17 @@ class DispatchTable {
 
   DispatchTable() = default;
 
-  /// Eager build from a complete spec: group the transition list into cells
-  /// without ever materializing the S² grid (counting sort by receiver, then
-  /// an in-row stable sort by sender keeps each cell's entries in spec
-  /// order, which fixes the cumulative-rate walk and the binomial-split
-  /// order independently of the row layout).
+  /// Eager build from a complete spec.  The rows come from
+  /// `FiniteSpec::validate()`, so a malformed spec throws
+  /// std::invalid_argument before any cell exists.  The S² grid is never
+  /// materialized: an in-row stable sort by sender keeps each cell's entries
+  /// in spec order, which fixes the cumulative-rate walk and the
+  /// binomial-split order independently of the row layout.
   explicit DispatchTable(const FiniteSpec& spec, RowLayout layout = RowLayout::kAuto)
       : num_states_(spec.num_states()), layout_(layout) {
+    auto [row_start, order] = spec.validate();
     rows_.resize(num_states_);
     const auto& ts = spec.transitions();
-    std::vector<std::uint32_t> row_start(num_states_ + 1, 0);
-    for (const auto& t : ts) ++row_start[t.in_receiver + 1];
-    for (std::uint32_t r = 0; r < num_states_; ++r) row_start[r + 1] += row_start[r];
-    std::vector<std::uint32_t> order(ts.size());
-    {
-      std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
-      for (std::uint32_t i = 0; i < ts.size(); ++i) order[cursor[ts[i].in_receiver]++] = i;
-    }
     entries_.reserve(ts.size());
     for (std::uint32_t r = 0; r < num_states_; ++r) {
       const auto row_begin = order.begin() + row_start[r];

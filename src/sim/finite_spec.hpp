@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -126,9 +126,10 @@ class FiniteSpec {
   /// Bulk emission for the compiler's parallel merge: append `count`
   /// value-initialized transitions and return the slice, which the caller
   /// fills concurrently (distinct slots per writer) with already-interned
-  /// ids and rates in (0, 1].  add()'s per-call checks are skipped here;
-  /// validate() re-checks every slot's ids and rate plus the per-pair
-  /// rate discipline, and the compiler validates before a spec escapes.
+  /// ids and rates in (0, 1].  add()'s per-call checks are skipped here, so
+  /// a slot may hold anything until validate() — run by the compiler before
+  /// a spec escapes, and by every `DispatchTable` build — re-checks every
+  /// slot's ids and rate plus the per-pair rate discipline.
   Transition* append_transitions(std::size_t count) {
     transitions_.resize(transitions_.size() + count);
     return transitions_.data() + (transitions_.size() - count);
@@ -152,27 +153,67 @@ class FiniteSpec {
     return total;
   }
 
+  /// The transition list grouped by receiver, as `validate()` returns it:
+  /// `order[row_start[r] .. row_start[r + 1])` are the indices of the
+  /// transitions with receiver r, in list order.
+  struct ReceiverRows {
+    std::vector<std::uint32_t> row_start;  ///< num_states() + 1 offsets into order
+    std::vector<std::uint32_t> order;      ///< transition indices, receiver-major
+  };
+
   /// Check every transition (ids in range, rate in (0, 1] — the bulk
   /// `append_transitions` path skips add()'s per-call checks, so this is
   /// where malformed compiler output fails fast) and the rate discipline
-  /// for every input pair.  Hash-keyed so compiled specs with millions of
-  /// transitions validate in linear time.
-  void validate() const {
+  /// for every input pair, and return the transitions grouped by receiver.
+  /// Linear in the list: one checking pass counts each receiver's
+  /// transitions, a stable counting sort groups them, and each row then
+  /// sums its senders' rates in a dense per-sender scratch array that is
+  /// checked and cleared, through a touched list, at the end of the row.
+  /// Each pair's rates add up in list order, the order of its cell's
+  /// entries in a `DispatchTable`, so the check sees the same floating-point
+  /// sum as the table's cumulative-rate walk.
+  /// `DispatchTable` builds from the returned rows, so building a table is
+  /// itself the check.
+  ReceiverRows validate() const {
     const auto n = num_states();
-    std::unordered_map<std::uint64_t, double> totals;
-    totals.reserve(transitions_.size());
+    POPS_REQUIRE(transitions_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 "transition count exceeds 32-bit transition indices");
+    ReceiverRows rows;
+    auto& row_start = rows.row_start;
+    row_start.assign(std::size_t{n} + 1, 0);
     for (const auto& t : transitions_) {
       POPS_REQUIRE(t.in_receiver < n && t.in_sender < n && t.out_receiver < n &&
                        t.out_sender < n,
                    "transition uses unknown state id");
       POPS_REQUIRE(t.rate > 0.0 && t.rate <= 1.0, "transition rate must lie in (0, 1]");
-      totals[(static_cast<std::uint64_t>(t.in_receiver) << 32) | t.in_sender] += t.rate;
+      ++row_start[t.in_receiver + 1];
     }
-    for (const auto& [key, total] : totals) {
-      POPS_REQUIRE(total <= 1.0 + 1e-12,
-                   "transition rates for pair (" + name(static_cast<std::uint32_t>(key >> 32)) +
-                       ", " + name(static_cast<std::uint32_t>(key)) + ") exceed 1");
+    for (std::uint32_t r = 0; r < n; ++r) row_start[r + 1] += row_start[r];
+    auto& order = rows.order;
+    order.resize(transitions_.size());
+    {
+      std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
+      for (std::uint32_t i = 0; i < transitions_.size(); ++i) {
+        order[cursor[transitions_[i].in_receiver]++] = i;
+      }
     }
+    std::vector<double> total(n, 0.0);  // per-sender sums of the current row
+    std::vector<std::uint32_t> touched;
+    for (std::uint32_t r = 0; r < n; ++r) {
+      for (std::uint32_t k = row_start[r]; k < row_start[r + 1]; ++k) {
+        const Transition& t = transitions_[order[k]];
+        double& sum = total[t.in_sender];
+        if (sum == 0.0) touched.push_back(t.in_sender);  // rates are > 0
+        sum += t.rate;
+      }
+      for (const std::uint32_t s : touched) {
+        POPS_REQUIRE(total[s] <= 1.0 + 1e-12,
+                     "transition rates for pair (" + name(r) + ", " + name(s) + ") exceed 1");
+        total[s] = 0.0;
+      }
+      touched.clear();
+    }
+    return rows;
   }
 
  private:

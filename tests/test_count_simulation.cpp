@@ -1,6 +1,9 @@
 // Unit tests for the count-based simulator and FiniteSpec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/count_simulation.hpp"
 #include "sim/finite_spec.hpp"
 
@@ -30,6 +33,59 @@ TEST(FiniteSpec, RateValidation) {
   spec.add("a", "b", "c", "d", 0.7);
   spec.add("a", "b", "d", "c", 0.6);
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // total 1.3 > 1
+}
+
+TEST(FiniteSpec, InterleavedPairRatesSumAcrossTheList) {
+  // The (a, b) transitions are not adjacent in the list, nor within row a:
+  // a check that summed only contiguous runs would see 0.6 and 0.5 apart.
+  FiniteSpec spec;
+  spec.add("a", "b", "c", "d", 0.6);
+  spec.add("a", "c", "c", "d", 0.5);
+  spec.add("b", "b", "c", "d", 0.5);
+  spec.add("a", "d", "c", "d", 0.5);
+  spec.add("a", "b", "d", "c", 0.5);
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // (a, b) totals 1.1
+}
+
+TEST(FiniteSpec, SameSenderInTwoRowsIsTwoPairs) {
+  // Sender s carries 0.6 in row r1 and 0.6 in row r2: two pairs, each under
+  // 1, so the per-row totals must start from zero in every row.
+  FiniteSpec spec;
+  spec.add("r1", "s", "x", "y", 0.6);
+  spec.add("r2", "s", "x", "y", 0.6);
+  spec.add("r1", "x", "x", "y", 0.4);
+  spec.add("r2", "s", "y", "x", 0.3);
+  EXPECT_NO_THROW(spec.validate());
+  // And a sender seen in an earlier row is still checked in a later one.
+  FiniteSpec later;
+  later.add("r1", "s", "x", "y", 0.3);
+  later.add("r2", "s", "x", "y", 0.6);
+  later.add("r2", "s", "y", "x", 0.5);
+  EXPECT_THROW(later.validate(), std::invalid_argument);  // (r2, s) totals 1.1
+}
+
+TEST(FiniteSpec, PairTotalToleranceIsOneInATrillion) {
+  FiniteSpec within;
+  within.add("a", "b", "c", "d", 0.5);
+  within.add("a", "b", "d", "c", 0.5 + 1e-13);
+  EXPECT_NO_THROW(within.validate());
+  FiniteSpec beyond;
+  beyond.add("a", "b", "c", "d", 0.5);
+  beyond.add("a", "b", "d", "c", 0.5 + 1e-11);
+  EXPECT_THROW(beyond.validate(), std::invalid_argument);
+}
+
+TEST(FiniteSpec, ValidateGroupsTransitionsByReceiverInListOrder) {
+  FiniteSpec spec;
+  spec.add("b", "a", "a", "a");       // 0
+  spec.add("a", "b", "b", "b", 0.5);  // 1
+  spec.add("c", "c", "a", "a");       // 2
+  spec.add("a", "a", "b", "b");       // 3
+  spec.add("a", "b", "a", "a", 0.5);  // 4
+  const auto rows = spec.validate();
+  // Ids: b = 0, a = 1, c = 2.
+  EXPECT_EQ(rows.row_start, (std::vector<std::uint32_t>{0, 1, 4, 5}));
+  EXPECT_EQ(rows.order, (std::vector<std::uint32_t>{0, 1, 3, 4, 2}));
 }
 
 TEST(FiniteSpec, TotalRateSums) {

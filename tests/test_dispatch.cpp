@@ -47,6 +47,31 @@ TEST(DispatchTable, ClassifiesCellsAndReportsPresence) {
   EXPECT_EQ(absent.kind, Kind::kNull);
 }
 
+// ------------------------------------------------------- malformed specs ----
+
+/// Specs that must never reach a table: an out-of-range receiver id and a
+/// zero rate, both written through the unchecked bulk path, and a pair
+/// whose rates sum past 1.
+std::vector<FiniteSpec> malformed_specs() {
+  std::vector<FiniteSpec> specs(3);
+  specs[0].add("a", "b", "b", "a");
+  *specs[0].append_transitions(1) = Transition{1000, 0, 0, 0, 1.0};
+  specs[1].add("a", "b", "b", "a");
+  *specs[1].append_transitions(1) = Transition{1, 0, 0, 1, 0.0};
+  specs[2].add("a", "b", "b", "a", 0.7);
+  specs[2].add("b", "a", "a", "b");
+  specs[2].add("a", "b", "a", "a", 0.6);
+  return specs;
+}
+
+TEST(DispatchTable, BuildRejectsMalformedSpecs) {
+  for (const FiniteSpec& spec : malformed_specs()) {
+    EXPECT_THROW(DispatchTable{spec}, std::invalid_argument);
+    EXPECT_THROW(CountSimulation(spec, 1), std::invalid_argument);
+    EXPECT_THROW(BatchedCountSimulation(spec, 1), std::invalid_argument);
+  }
+}
+
 // ------------------------------------------------------------ pick clamp ----
 
 TEST(DispatchTable, PickClampsFullMassCellInsteadOfReturningNull) {
